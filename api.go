@@ -257,37 +257,6 @@ func SplitUpdate(reqNum uint32, spec HashSpec, bits uint32, flips []Flip, maxFli
 	return icp.SplitUpdate(reqNum, spec, bits, flips, maxFlips)
 }
 
-// TCPClient maintains one persistent connection to a peer's update
-// channel, reconnecting lazily after failures.
-type TCPClient = icp.TCPClient
-
-// TCPClientConfig tunes a TCPClient's dial and per-send write deadlines.
-type TCPClientConfig = icp.TCPClientConfig
-
-// TCPServer accepts persistent update-channel connections.
-type TCPServer = icp.TCPServer
-
-// DefaultDialTimeout bounds update-channel connection establishment when
-// TCPClientConfig leaves DialTimeout zero.
-const DefaultDialTimeout = icp.DefaultDialTimeout
-
-// NewTCPClient prepares an update-channel client. This config form is the
-// one canonical constructor (it folds in the NewTCPClientWithConfig and
-// positional dial-timeout spellings of earlier revisions). A zero
-// DialTimeout means DefaultDialTimeout.
-func NewTCPClient(addr string, cfg TCPClientConfig) *TCPClient {
-	return icp.NewTCPClient(addr, cfg)
-}
-
-// ListenTCP starts an update-channel server on addr, delivering each
-// framed message to handler.
-func ListenTCP(addr string, handler ICPHandler) (*TCPServer, error) {
-	return icp.ListenTCP(addr, handler)
-}
-
-// ICPHandler consumes received ICP messages with their remote address.
-type ICPHandler = icp.Handler
-
 // --- deterministic fault injection (internal/faultnet) ---
 
 // FaultScenario is a complete, replayable fault schedule: a seed plus the

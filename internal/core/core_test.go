@@ -455,10 +455,11 @@ func TestNodeConcurrentTraffic(t *testing.T) {
 	m.waitReplicated(t, 1, "http://g0/doc99", true)
 }
 
-// Updates over the persistent TCP channel replicate correctly and are
-// attributed to the sender's ICP identity (via the embedded port), so
-// queries still route to the right UDP endpoint.
-func TestNodeTCPUpdates(t *testing.T) {
+// One-way peering: a registers b and ships it DIRUPDATEs, but b never
+// registers a. b's replica of a is keyed by the datagrams' source address,
+// and b's Lookup must still resolve a remote hit at a by querying that key
+// even though it is absent from b's registered peers.
+func TestNodeOneWayPeering(t *testing.T) {
 	docsA := map[string]bool{}
 	var muA sync.Mutex
 	a, err := NewNode(NodeConfig{
@@ -470,7 +471,6 @@ func TestNodeTCPUpdates(t *testing.T) {
 			return docsA[u]
 		},
 		MinFlipsToPublish: 1,
-		TCPUpdateAddr:     "127.0.0.1:0",
 		QueryTimeout:      2 * time.Second,
 	})
 	if err != nil {
@@ -482,7 +482,6 @@ func TestNodeTCPUpdates(t *testing.T) {
 		Directory:         DirectoryConfig{ExpectedDocs: 500},
 		HasDocument:       func(string) bool { return false },
 		MinFlipsToPublish: 1,
-		TCPUpdateAddr:     "127.0.0.1:0",
 		QueryTimeout:      2 * time.Second,
 	})
 	if err != nil {
@@ -490,16 +489,11 @@ func TestNodeTCPUpdates(t *testing.T) {
 	}
 	defer b.Close()
 
-	if a.TCPUpdateAddr() == nil || b.TCPUpdateAddr() == nil {
-		t.Fatal("TCP update channels not listening")
-	}
-	// a sends its updates to b over TCP; b never peers back (one-way is
-	// enough for this test).
-	if err := a.AddPeerTCP(b.Addr(), b.TCPUpdateAddr().String()); err != nil {
+	if err := a.AddPeer(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
 
-	const url = "http://tcp-updates/doc"
+	const url = "http://one-way/doc"
 	muA.Lock()
 	docsA[url] = true
 	muA.Unlock()
@@ -515,56 +509,27 @@ func TestNodeTCPUpdates(t *testing.T) {
 	}
 	cands := b.PeerSummaries().Candidates(url)
 	if len(cands) != 1 {
-		t.Fatalf("replica not built over TCP: candidates %v", cands)
+		t.Fatalf("replica not built from one-way updates: candidates %v", cands)
 	}
-	// The replica key must be a's ICP address (embedded identity), not the
-	// ephemeral TCP source port.
 	if cands[0] != a.Addr().String() {
 		t.Fatalf("replica keyed by %s, want %s", cands[0], a.Addr())
 	}
-	// And b can resolve a remote hit through the normal query path.
-	hit, _, err := b.Lookup(context.Background(), url)
+	if n := len(b.PeerAddrs()); n != 0 {
+		t.Fatalf("b has %d registered peers, want 0 (one-way peering)", n)
+	}
+	// b resolves a remote hit through the unregistered replica key.
+	hit, cand, err := b.Lookup(context.Background(), url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit == nil || hit.String() != a.Addr().String() {
 		t.Fatalf("lookup: hit=%v, want %v", hit, a.Addr())
 	}
-	// No update datagrams traveled over UDP.
-	if sent := a.Stats().UDP.Sent; sent > 1 { // the lookup reply is b→a; a sends only its HIT reply
-		t.Logf("note: a sent %d UDP datagrams (query replies)", sent)
+	if cand != 1 {
+		t.Fatalf("lookup queried %d peers, want 1", cand)
 	}
 	if b.Stats().UpdatesReceived == 0 {
 		t.Fatal("updates-received counter not incremented")
-	}
-}
-
-func TestNodeRemovePeerClosesTCP(t *testing.T) {
-	a, err := NewNode(NodeConfig{
-		ListenAddr:  "127.0.0.1:0",
-		Directory:   DirectoryConfig{ExpectedDocs: 10},
-		HasDocument: func(string) bool { return false },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewNode(NodeConfig{
-		ListenAddr:    "127.0.0.1:0",
-		Directory:     DirectoryConfig{ExpectedDocs: 10},
-		HasDocument:   func(string) bool { return false },
-		TCPUpdateAddr: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := a.AddPeerTCP(b.Addr(), b.TCPUpdateAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	a.RemovePeer(b.Addr())
-	if len(a.PeerAddrs()) != 0 {
-		t.Fatal("peer survived removal")
 	}
 }
 

@@ -62,13 +62,14 @@ func TestRemovePeerDropsMetricSeries(t *testing.T) {
 }
 
 // waitForUpdates flushes src's summary until dst has applied at least one
-// DIRUPDATE from it.
+// delta DIRUPDATE from it. The full-state bootstrap sent when the peers
+// were registered does not count: it predates the documents src cached.
 func waitForUpdates(t *testing.T, src, dst *Proxy) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		src.FlushSummary()
-		if dst.Stats().Node.UpdatesReceived > 0 {
+		if h, ok := dst.node.PeerSummaries().Health(src.ICPAddr().String()); ok && h.DeltaUpdates > 0 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

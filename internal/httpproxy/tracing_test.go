@@ -51,6 +51,21 @@ func getTraceJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
+// findTraces polls tracer.Find(id) until it returns at least want traces
+// or a bounded deadline passes, and returns the last result. The answering
+// node records its trace after sending the ICP reply, so the querier can
+// finish its request before the answer's trace lands.
+func findTraces(tracer *tracing.Tracer, id tracing.ID, want int) []*tracing.Trace {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		matches := tracer.Find(id)
+		if len(matches) >= want || time.Now().After(deadline) {
+			return matches
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func findSpan(spans []tracing.Span, name, peer string) *tracing.Span {
 	for i := range spans {
 		if spans[i].Name == name && (peer == "" || spans[i].Peer == peer) {
@@ -385,7 +400,7 @@ func TestTracedRemoteHit(t *testing.T) {
 	if req.Kept() != "head" {
 		t.Errorf("remote-hit trace kept = %q, want head", req.Kept())
 	}
-	matches := tracer.Find(req.ID())
+	matches := findTraces(tracer, req.ID(), 2)
 	if len(matches) != 2 {
 		t.Fatalf("Find(%v) = %d traces, want request + answer", req.ID(), len(matches))
 	}
@@ -457,7 +472,7 @@ func TestTracedClassicICP(t *testing.T) {
 	}
 	// B's answering-side trace shares the ID but is NOT anomalous: under
 	// classic ICP everyone is queried, so a MISS answer is ordinary.
-	matches := tracer.Find(req.ID())
+	matches := findTraces(tracer, req.ID(), 2)
 	if len(matches) != 2 {
 		t.Fatalf("Find = %d traces, want request + answer", len(matches))
 	}

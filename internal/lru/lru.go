@@ -75,6 +75,13 @@ type Config struct {
 	// they fire OnEvict with EvictUpdated instead.
 	OnInsert func(Entry)
 	// OnEvict, if non-nil, observes every departure with its cause.
+	//
+	// Both callbacks run with the key's shard locked, in the order the
+	// shard was mutated, so they must not call back into the cache.
+	// Firing after the unlock would let a concurrent mutation of the same
+	// key reach observers first: an eviction of k racing a re-insert of k
+	// could arrive as insert-then-evict, leaving a counting directory with
+	// a phantom member and an underflowed counter.
 	OnEvict func(Entry, Event)
 	// OpTiming, if non-nil, observes the duration of every Get (op OpGet)
 	// and every stored Put (op OpInsert) — the perfwatch stage-timing
@@ -361,27 +368,6 @@ func (c *Cache) Touch(key string) bool {
 	return true
 }
 
-// event is a deferred callback notification; callbacks fire after the
-// shard lock is released so they may do slow work (network sends) or
-// re-enter the cache without deadlocking.
-type event struct {
-	entry Entry
-	evict bool
-	why   Event
-}
-
-func (c *Cache) fire(evs []event) {
-	for _, ev := range evs {
-		if ev.evict {
-			if c.onEvict != nil {
-				c.onEvict(ev.entry, ev.why)
-			}
-		} else if c.onInsert != nil {
-			c.onInsert(ev.entry)
-		}
-	}
-}
-
 // Put inserts or updates a document, evicting LRU entries as needed to fit.
 // It reports whether the document was stored; uncacheable documents (too
 // large) are rejected with stored == false and leave the cache unchanged.
@@ -394,7 +380,6 @@ func (c *Cache) Put(e Entry) (stored bool) {
 		defer func() { c.timing(OpInsert, time.Since(start)) }()
 	}
 	s := c.shardFor(e.Key)
-	var evs []event
 	if !s.mu.TryLock() {
 		s.lockSlow()
 	}
@@ -409,11 +394,12 @@ func (c *Cache) Put(e Entry) (stored bool) {
 		s.ll.MoveToFront(el)
 		if old.Version != e.Version {
 			s.evUpdated++
-			evs = append(evs, event{entry: old, evict: true, why: EvictUpdated})
+			if c.onEvict != nil {
+				c.onEvict(old, EvictUpdated)
+			}
 		}
-		evs = c.evictOverflowLocked(s, evs)
+		c.evictOverflowLocked(s)
 		s.mu.Unlock()
-		c.fire(evs)
 		return true
 	}
 	s.bytes += e.Size
@@ -422,10 +408,11 @@ func (c *Cache) Put(e Entry) (stored bool) {
 		nd.stamp = c.tick()
 	}
 	s.items[e.Key] = s.ll.PushFront(nd)
-	evs = append(evs, event{entry: e})
-	evs = c.evictOverflowLocked(s, evs)
+	if c.onInsert != nil {
+		c.onInsert(e)
+	}
+	c.evictOverflowLocked(s)
 	s.mu.Unlock()
-	c.fire(evs)
 	return true
 }
 
@@ -440,24 +427,22 @@ func (c *Cache) Remove(key string) bool {
 		s.mu.Unlock()
 		return false
 	}
-	evs := c.removeElementLocked(s, el, EvictRemoved, nil)
+	c.removeElementLocked(s, el, EvictRemoved)
 	s.mu.Unlock()
-	c.fire(evs)
 	return true
 }
 
-func (c *Cache) evictOverflowLocked(s *shard, evs []event) []event {
+func (c *Cache) evictOverflowLocked(s *shard) {
 	for s.bytes > s.capacity {
 		back := s.ll.Back()
 		if back == nil {
-			return evs
+			return
 		}
-		evs = c.removeElementLocked(s, back, EvictCapacity, evs)
+		c.removeElementLocked(s, back, EvictCapacity)
 	}
-	return evs
 }
 
-func (c *Cache) removeElementLocked(s *shard, el *list.Element, why Event, evs []event) []event {
+func (c *Cache) removeElementLocked(s *shard, el *list.Element, why Event) {
 	e := el.Value.(*node).e
 	s.ll.Remove(el)
 	delete(s.items, e.Key)
@@ -468,7 +453,9 @@ func (c *Cache) removeElementLocked(s *shard, el *list.Element, why Event, evs [
 	case EvictRemoved:
 		s.evRemoved++
 	}
-	return append(evs, event{entry: e, evict: true, why: why})
+	if c.onEvict != nil {
+		c.onEvict(e, why)
+	}
 }
 
 // snapshot collects every shard's nodes (entry + recency stamp) and sorts

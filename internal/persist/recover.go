@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"summarycache/internal/core"
-	"summarycache/internal/delta"
 	"summarycache/internal/lru"
 )
 
@@ -179,7 +178,7 @@ func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry,
 		s.log.Warn("journal unreadable", "gen", gen, "err", err)
 		return
 	}
-	payload, rest, err := delta.NextFrame(img)
+	payload, rest, err := nextFrame(img)
 	if err != nil || payload == nil {
 		if err != nil {
 			st.TornTail = true
@@ -191,7 +190,7 @@ func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry,
 		return
 	}
 	for {
-		payload, rest, err = delta.NextFrame(rest)
+		payload, rest, err = nextFrame(rest)
 		if err != nil {
 			// Torn or corrupt tail: keep the valid prefix, stop here.
 			st.TornTail = true
@@ -200,40 +199,40 @@ func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry,
 		if payload == nil {
 			return
 		}
-		rec, derr := delta.DecodeJournalRecord(payload)
+		rec, derr := decodeJournalRecord(payload)
 		if derr != nil {
 			st.TornTail = true
 			return
 		}
 		st.JournalRecords++
-		switch rec.Op {
-		case delta.JournalInsert:
+		switch rec.op {
+		case journalInsert:
 			*seq++
-			if re, ok := entries[rec.Key]; ok {
-				if re.e.Version == rec.Version {
+			if re, ok := entries[rec.key]; ok {
+				if re.e.Version == rec.version {
 					// Overlap-window confirmation (or a re-insert after an
 					// eviction also in this journal): the snapshot body is
 					// this version; just refresh recency.
 					re.seq = *seq
-					delete(removed, rec.Key)
+					delete(removed, rec.key)
 					continue
 				}
 				// The document changed version after the snapshot; its
 				// persisted body is stale. Drop it for refetch and take its
 				// claim out of the restored filter.
 				st.StaleVersions++
-				delete(entries, rec.Key)
-				removed[rec.Key] = true
+				delete(entries, rec.key)
+				removed[rec.key] = true
 				continue
 			}
 			// Inserted after the snapshot was captured: no body anywhere on
 			// disk. Not restored, not claimed — a safe under-claim the next
 			// real fetch repairs.
 			st.LostInserts++
-		case delta.JournalEvict:
-			if _, ok := entries[rec.Key]; ok {
-				delete(entries, rec.Key)
-				removed[rec.Key] = true
+		case journalEvict:
+			if _, ok := entries[rec.key]; ok {
+				delete(entries, rec.key)
+				removed[rec.key] = true
 				st.ReplayedEvicts++
 			} else {
 				st.DoubleEvicts++
