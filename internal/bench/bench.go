@@ -127,6 +127,7 @@ type Result struct {
 
 	MeanLatency time.Duration
 	P90Latency  time.Duration
+	P99Latency  time.Duration
 
 	CPU CPUSample // process CPU consumed during the run
 
@@ -455,6 +456,7 @@ func RunSynthetic(cfg SyntheticConfig) (Result, error) {
 	res.CPU = ReadCPU().Sub(cpuStart)
 	res.MeanLatency = lat.Mean()
 	res.P90Latency = lat.Percentile(90)
+	res.P99Latency = lat.Percentile(99)
 	tb.collect(&res, base)
 	return res, nil
 }
@@ -592,6 +594,7 @@ func RunReplay(cfg ReplayConfig) (Result, error) {
 	res.CPU = ReadCPU().Sub(cpuStart)
 	res.MeanLatency = lat.Mean()
 	res.P90Latency = lat.Percentile(90)
+	res.P99Latency = lat.Percentile(99)
 	tb.collect(&res, meshSnapshot{})
 	return res, nil
 }

@@ -65,6 +65,9 @@ func TestSyntheticNoICP(t *testing.T) {
 	if r.MeanLatency <= 0 {
 		t.Error("no latency recorded")
 	}
+	if r.P90Latency <= 0 || r.P99Latency < r.P90Latency {
+		t.Errorf("p90 %v, p99 %v: want 0 < p90 <= p99", r.P90Latency, r.P99Latency)
+	}
 	if r.String() == "" {
 		t.Error("empty String()")
 	}
@@ -150,6 +153,9 @@ func TestReplayBothAssignments(t *testing.T) {
 		}
 		if r.HitRatio <= 0 {
 			t.Errorf("%v: zero hit ratio replaying a skewed trace", a)
+		}
+		if r.P90Latency <= 0 || r.P99Latency < r.P90Latency {
+			t.Errorf("%v: p90 %v, p99 %v: want 0 < p90 <= p99", a, r.P90Latency, r.P99Latency)
 		}
 	}
 }

@@ -396,7 +396,7 @@ func runMicroSweep(cfg MicroConfig) (MicroResult, error) {
 		Current: MicroMeasurement{
 			Ops:       mesh.Requests,
 			OpsPerSec: float64(mesh.Requests) / mesh.Wall.Seconds(),
-			P99Micros: float64(mesh.P90Latency) / float64(time.Microsecond), // recorder exposes p90
+			P99Micros: float64(mesh.P99Latency) / float64(time.Microsecond),
 		},
 	})
 	return res, nil

@@ -199,17 +199,30 @@ func (f *Filter) ClearBit(i uint64) (changed bool, err error) {
 // Apply applies a batch of flips (a decoded directory-update message).
 // Flips are absolute ("set this bit to 0/1"), so replaying or losing a
 // message never corrupts the filter beyond the bits that message carried —
-// the paper's rationale for not sending relative toggles.
+// the paper's rationale for not sending relative toggles. The batch is
+// applied whole or not at all: an out-of-range index anywhere rejects it
+// before any bit changes.
 func (f *Filter) Apply(flips []Flip) error {
+	if err := CheckFlips(flips, f.m); err != nil {
+		return err
+	}
 	for _, fl := range flips {
 		i := uint64(fl.Index)
-		if i >= f.m {
-			return fmt.Errorf("%w: %d >= %d", ErrIndexRange, i, f.m)
-		}
 		if fl.Set {
 			f.set(i)
 		} else {
 			f.clear(i)
+		}
+	}
+	return nil
+}
+
+// CheckFlips reports ErrIndexRange if any flip addresses a bit at or beyond
+// m, the size of the filter the batch is meant for.
+func CheckFlips(flips []Flip, m uint64) error {
+	for _, fl := range flips {
+		if i := uint64(fl.Index); i >= m {
+			return fmt.Errorf("%w: %d >= %d", ErrIndexRange, i, m)
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package bloom
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -84,6 +86,23 @@ func TestFilterApply(t *testing.T) {
 	}
 	if err := f.Apply([]Flip{{Index: 256, Set: true}}); err == nil {
 		t.Fatal("Apply accepted out-of-range index")
+	}
+}
+
+// A batch with one bad index is rejected before any flip lands: the
+// in-range flips ahead of it must not reach the filter.
+func TestFilterApplyAllOrNothing(t *testing.T) {
+	f := MustNewFilter(256, testSpec)
+	if err := f.Apply([]Flip{{Index: 7, Set: true}, {Index: 9, Set: true}}); err != nil {
+		t.Fatal(err)
+	}
+	before, ones := f.Snapshot(), f.OnesCount()
+	bad := []Flip{{Index: 7, Set: false}, {Index: 100, Set: true}, {Index: 256, Set: true}, {Index: 9, Set: false}}
+	if err := f.Apply(bad); !errors.Is(err, ErrIndexRange) {
+		t.Fatalf("err = %v, want ErrIndexRange", err)
+	}
+	if !bytes.Equal(f.Snapshot(), before) || f.OnesCount() != ones {
+		t.Fatalf("rejected batch changed the filter: ones %d -> %d", ones, f.OnesCount())
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -166,6 +168,41 @@ func TestPeerTableRejectsBadUpdates(t *testing.T) {
 		Flips: []bloom.Flip{{Index: 64, Set: true}}}
 	if err := pt.ApplyUpdate("p", u, false); err == nil {
 		t.Error("accepted out-of-range flip")
+	}
+}
+
+// A rejected update, delta or full, must leave the replica exactly as it
+// was: a full update is checked before the reset, and a delta before any
+// flip lands.
+func TestPeerTableRejectedUpdateKeepsReplica(t *testing.T) {
+	pt := NewPeerTable()
+	spec := hashing.DefaultSpec
+	u := &icp.DirUpdate{Spec: spec, Bits: 1024, Flips: []bloom.Flip{{Index: 1, Set: true}, {Index: 500, Set: true}}}
+	if err := pt.ApplyUpdate("p", u, false); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := pt.ReplicaSnapshot("p")
+	bad := []bloom.Flip{{Index: 1, Set: false}, {Index: 2, Set: true}, {Index: 1024, Set: true}}
+	for _, full := range []bool{false, true} {
+		err := pt.ApplyUpdate("p", &icp.DirUpdate{Spec: spec, Bits: 1024, Flips: bad}, full)
+		if !errors.Is(err, bloom.ErrIndexRange) {
+			t.Fatalf("full=%v: err = %v, want ErrIndexRange", full, err)
+		}
+		after, _ := pt.ReplicaSnapshot("p")
+		if !bytes.Equal(after, before) {
+			t.Fatalf("full=%v: rejected update changed the replica", full)
+		}
+	}
+	// A rejected update in a new geometry must not replace the replica.
+	err := pt.ApplyUpdate("p", &icp.DirUpdate{Spec: spec, Bits: 2048, Flips: []bloom.Flip{{Index: 2048, Set: true}}}, false)
+	if !errors.Is(err, bloom.ErrIndexRange) {
+		t.Fatalf("geometry change: err = %v, want ErrIndexRange", err)
+	}
+	if after, _ := pt.ReplicaSnapshot("p"); !bytes.Equal(after, before) {
+		t.Fatal("rejected geometry change replaced the replica")
+	}
+	if pt.Updates("p") != 1 {
+		t.Fatalf("updates = %d, want 1", pt.Updates("p"))
 	}
 }
 

@@ -92,6 +92,11 @@ func (pt *PeerTable) ApplyUpdate(peer string, u *icp.DirUpdate, full bool) error
 	if u.Bits == 0 {
 		return fmt.Errorf("core: update from %s announces empty bit array", peer)
 	}
+	// Check the whole batch before the replica is rebuilt or reset, so a
+	// rejected update leaves the previous replica intact.
+	if err := bloom.CheckFlips(u.Flips, uint64(u.Bits)); err != nil {
+		return fmt.Errorf("core: update from %s: %w", peer, err)
+	}
 	pt.mu.Lock()
 	rebuilt := ""
 	ps := pt.peers[peer]

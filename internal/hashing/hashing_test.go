@@ -2,6 +2,9 @@ package hashing
 
 import (
 	"crypto/md5"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -204,13 +207,6 @@ func TestExtendedFamilyDistinctRounds(t *testing.T) {
 	}
 }
 
-func TestSignatureMatchesMD5(t *testing.T) {
-	const key = "http://example.com/"
-	if Signature(key) != md5.Sum([]byte(key)) {
-		t.Fatal("Signature does not match crypto/md5")
-	}
-}
-
 // Property: indices are always in range and deterministic for arbitrary keys.
 func TestQuickIndexesInvariant(t *testing.T) {
 	f := MustNew(Spec{5, 30})
@@ -254,6 +250,171 @@ func TestQuickDispersion(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refReader is the original bit-at-a-time digest reader, kept as the
+// reference model for the word-wise bitReader: it walks the digest stream
+// one bit per iteration and rebuilds the concatenated key on the heap for
+// every round.
+type refReader struct {
+	key    string
+	round  int
+	digest [16]byte
+	bitPos int
+}
+
+func (r *refReader) refill() {
+	r.round++
+	r.digest = md5.Sum([]byte(strings.Repeat(r.key, r.round)))
+	r.bitPos = 0
+}
+
+func (r *refReader) take(n int) uint64 {
+	if r.round == 0 || r.bitPos+n > 128 {
+		r.refill()
+	}
+	var v uint64
+	for i := 0; i < n; i++ {
+		byteIdx := r.bitPos >> 3
+		bitIdx := 7 - (r.bitPos & 7)
+		v = v<<1 | uint64(r.digest[byteIdx]>>bitIdx&1)
+		r.bitPos++
+	}
+	return v
+}
+
+func refIndexes(spec Spec, key string, m uint64) []uint64 {
+	r := refReader{key: key}
+	out := make([]uint64, spec.FunctionNum)
+	for i := range out {
+		out[i] = r.take(spec.FunctionBits) % m
+	}
+	return out
+}
+
+// refKey builds a deterministic key of n bytes.
+func refKey(n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte('a' + (i*7+n)%26)
+	}
+	return string(b)
+}
+
+// checkAgainstReference compares Indexes and IndexesInto with the
+// reference model for one spec, key and modulus.
+func checkAgainstReference(t *testing.T, spec Spec, key string, m uint64) {
+	t.Helper()
+	f := MustNew(spec)
+	want := refIndexes(spec, key, m)
+	got, err := f.Indexes(nil, key, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%v len(key)=%d m=%d: Indexes = %#x, reference %#x", spec, len(key), m, got, want)
+	}
+	into := make([]uint64, spec.FunctionNum)
+	if _, err := f.IndexesInto(into, key, m); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(into, want) {
+		t.Fatalf("%v len(key)=%d m=%d: IndexesInto = %#x, reference %#x", spec, len(key), m, into, want)
+	}
+}
+
+// Every group width and family size, over keys on both sides of the stack
+// buffer: widths that straddle a digest boundary (24, 40, 48, ...) and
+// multi-round families (up to 12×64 = 6 digests) must yield exactly the
+// reference model's bits.
+func TestIndexesMatchReference(t *testing.T) {
+	lengths := []int{0, 1, 7, 31, 55, 56, 64, 80, 85, 86, 127, 128, 129, 255, 256, 257, 300, 511, 600}
+	if testing.Short() {
+		lengths = []int{0, 80, 129, 257, 600}
+	}
+	for bits := 1; bits <= MaxFunctionBits; bits++ {
+		for num := 1; num <= 12; num++ {
+			spec := Spec{FunctionNum: num, FunctionBits: bits}
+			for _, n := range lengths {
+				key := refKey(n)
+				// MaxUint64 keeps the raw groups (only an all-ones
+				// 64-bit group reduces); 999983 exercises the modulus.
+				checkAgainstReference(t, spec, key, math.MaxUint64)
+				checkAgainstReference(t, spec, key, 999983)
+			}
+		}
+	}
+}
+
+func FuzzIndexesMatchReference(f *testing.F) {
+	f.Add("http://www.cs.wisc.edu/~cao/", uint8(4), uint8(32), uint64(1<<23))
+	f.Add("", uint8(3), uint8(48), uint64(999983))
+	f.Add(strings.Repeat("x", 300), uint8(10), uint8(32), uint64(0))
+	f.Add("k", uint8(12), uint8(64), uint64(1))
+	f.Fuzz(func(t *testing.T, key string, num, bits uint8, m uint64) {
+		if m == 0 {
+			m = math.MaxUint64
+		}
+		spec := Spec{FunctionNum: int(num)%12 + 1, FunctionBits: int(bits)%MaxFunctionBits + 1}
+		checkAgainstReference(t, spec, key, m)
+	})
+}
+
+// Index vectors recorded from the bit-at-a-time implementation. A peer on
+// an older build derives its filter indices this way, and the DIRUPDATE
+// header carries only the spec, so any drift here would make replicas
+// disagree with the filters they mirror.
+func TestGoldenIndexes(t *testing.T) {
+	keys := []string{"", "http://www.cs.wisc.edu/~cao/papers/summary-cache/", strings.Repeat("http://example.org/long/path/", 10)}
+	golden := []struct {
+		spec Spec
+		want [3][]uint64 // one vector per key, raw groups (m = MaxUint64)
+	}{
+		{Spec{4, 32}, [3][]uint64{
+			{0xd41d8cd9, 0x8f00b204, 0xe9800998, 0xecf8427e},
+			{0xc15a68ad, 0x5f7189d9, 0xb20a0a7b, 0x6cfd8cb1},
+			{0xfedb5701, 0x8e45f780, 0x4dcf91f3, 0xc57f0638},
+		}},
+		{Spec{3, 48}, [3][]uint64{
+			{0xd41d8cd98f00, 0xb204e9800998, 0xd41d8cd98f00},
+			{0xc15a68ad5f71, 0x89d9b20a0a7b, 0x9a86006e0a81},
+			{0xfedb57018e45, 0xf7804dcf91f3, 0x3e067a397a29},
+		}},
+		{Spec{10, 32}, [3][]uint64{
+			{0xd41d8cd9, 0x8f00b204, 0xe9800998, 0xecf8427e, 0xd41d8cd9, 0x8f00b204, 0xe9800998, 0xecf8427e, 0xd41d8cd9, 0x8f00b204},
+			{0xc15a68ad, 0x5f7189d9, 0xb20a0a7b, 0x6cfd8cb1, 0x9a86006e, 0xa8119b6, 0xdd790779, 0x4e565a9b, 0x2a6da4b4, 0xdde8c847},
+			{0xfedb5701, 0x8e45f780, 0x4dcf91f3, 0xc57f0638, 0x3e067a39, 0x7a29ce6b, 0xec36b9ae, 0xf9a40a6, 0x7b9d6de1, 0x26bff530},
+		}},
+	}
+	for _, g := range golden {
+		f := MustNew(g.spec)
+		for i, key := range keys {
+			got, err := f.Indexes(nil, key, math.MaxUint64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, g.want[i]) {
+				t.Errorf("%v len(key)=%d: %#x, golden %#x", g.spec, len(key), got, g.want[i])
+			}
+		}
+	}
+}
+
+// IndexesInto is the Bloom layer's hot path: no allocation for a URL-sized
+// key, in one digest round or several.
+func TestIndexesIntoZeroAlloc(t *testing.T) {
+	key := refKey(80)
+	for _, spec := range []Spec{DefaultSpec, {10, 32}, {3, 48}} {
+		f := MustNew(spec)
+		dst := make([]uint64, spec.FunctionNum)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := f.IndexesInto(dst, key, 1<<23); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%v: IndexesInto allocated %v times per run, want 0", spec, n)
+		}
 	}
 }
 

@@ -40,6 +40,10 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 
 	n := cfg.NumProxies
 	proxies := make([]*proxyState, n)
+	// copies counts, per URL, the proxy caches holding it in any version.
+	// A URL no cache holds cannot be a false miss, so the scan for one is
+	// skipped; most misses are for such URLs.
+	copies := make(map[string]int32)
 	var family *hashing.Family
 	var filterBits uint64
 	if cfg.Summary.Kind == Bloom || cfg.Summary.Kind == BloomDigest {
@@ -72,10 +76,19 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 			Capacity:      cfg.CacheBytes,
 			Shards:        1,
 			MaxObjectSize: cfg.MaxObjectSize,
-			OnInsert:      func(e lru.Entry) { sum.insert(e.Key) },
+			OnInsert: func(e lru.Entry) {
+				sum.insert(e.Key)
+				copies[e.Key]++
+			},
 			OnEvict: func(e lru.Entry, ev lru.Event) {
-				if ev != lru.EvictUpdated {
-					sum.remove(e.Key)
+				if ev == lru.EvictUpdated {
+					return
+				}
+				sum.remove(e.Key)
+				if c := copies[e.Key] - 1; c > 0 {
+					copies[e.Key] = c
+				} else {
+					delete(copies, e.Key)
 				}
 			},
 		})
@@ -187,7 +200,7 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 			}
 			// False miss: a summary-directed scheme failed to discover an
 			// actually fresh remote copy.
-			if cfg.Summary.Kind != Oracle && cfg.Summary.Kind != ICP {
+			if cfg.Summary.Kind != Oracle && cfg.Summary.Kind != ICP && copies[req.URL] > 0 {
 				for j := 0; j < n && freshPeer < 0; j++ {
 					if j == home {
 						continue
